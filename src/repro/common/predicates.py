@@ -99,7 +99,17 @@ class Predicate:
     def mask(self, values: NDArray[Any]) -> NDArray[np.bool_]:
         """Return a boolean mask of rows in ``values`` satisfying the predicate."""
         if self.op is Operator.IN:
-            return np.isin(values, np.asarray(self.value))
+            # One equality mask per admissible value, OR-ed together.  IN
+            # lists are short (the query templates use two values), and for
+            # short lists this is far cheaper than np.isin, which sorts.
+            assert isinstance(self.value, tuple)
+            if not self.value:
+                return np.zeros(np.shape(values), dtype=bool)
+            first, *rest = self.value
+            matched = np.asarray(values == first, dtype=bool)
+            for member in rest:
+                matched |= values == member
+            return matched
         value = self.value
         assert not isinstance(value, tuple)  # only IN carries a tuple
         if self.op is Operator.EQ:

@@ -6,11 +6,10 @@ in ``_run_task``, which made the task logic inseparable from executor state
 pure module-level functions:
 
 * the ``run_*`` functions do the row work of one task.  They take only
-  block *readers* (anything exposing ``num_rows`` / ``columns`` /
-  ``column_parts()`` — a live :class:`~repro.storage.block.Block` in the
-  in-process engine, a shared-memory
-  :class:`~repro.storage.shared_memory.SharedBlockView` in a worker
-  process), plain predicates, column names and integers.  Nothing here
+  block *readers* (anything exposing ``num_rows`` / ``columns`` — a live
+  :class:`~repro.storage.block.Block` in the in-process engine, a
+  shared-memory :class:`~repro.storage.shared_memory.SharedBlockView` in a
+  worker process), plain predicates, column names and integers.  Nothing here
   captures a ``Catalog``, ``Cluster``, or ``DistributedFileSystem``, so the
   functions are picklable and a ``multiprocessing`` worker executes exactly
   the same code path the parent would;
@@ -30,11 +29,10 @@ import numpy as np
 
 from ..common.predicates import Predicate
 from ..join.kernels import (
-    KeyHistogram,
     batch_matching_count,
     gather_filtered_keys,
     hash_partition,
-    join_match_count,
+    join_match_count_arrays,
 )
 from .tasks import Task
 
@@ -76,9 +74,7 @@ def run_shuffle_map_task(
 
 def run_shuffle_reduce_task(build_keys: np.ndarray, probe_keys: np.ndarray) -> int:
     """Join cardinality of one shuffle partition's build and probe keys."""
-    return join_match_count(
-        KeyHistogram.from_keys(build_keys), KeyHistogram.from_keys(probe_keys)
-    )
+    return join_match_count_arrays(build_keys, probe_keys)
 
 
 def run_hyper_group_task(
@@ -89,14 +85,11 @@ def run_hyper_group_task(
     build_predicates: list[Predicate],
     probe_predicates: list[Predicate],
 ) -> int:
-    """One hyper-join group: build a histogram, probe the overlapping blocks."""
-    build_histogram = KeyHistogram.from_keys(
-        gather_filtered_keys(build_blocks, build_column, build_predicates)
+    """One hyper-join group: count the build keys, probe the overlapping blocks."""
+    return join_match_count_arrays(
+        gather_filtered_keys(build_blocks, build_column, build_predicates),
+        gather_filtered_keys(probe_blocks, probe_column, probe_predicates),
     )
-    probe_histogram = KeyHistogram.from_keys(
-        gather_filtered_keys(probe_blocks, probe_column, probe_predicates)
-    )
-    return join_match_count(build_histogram, probe_histogram)
 
 
 # --------------------------------------------------------------------- #

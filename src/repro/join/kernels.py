@@ -4,6 +4,18 @@ AdaptDB's evaluation reports I/O-driven runtimes, so the reproduction's join
 executors only need to (a) account block accesses faithfully and (b) compute
 the *correct* number of join matches so tests can verify results against a
 reference join.  Both needs are served by counting key multiplicities.
+
+:func:`join_match_count_arrays` is the one exact match-count kernel of the
+execution engine's join tasks (shuffle reduce and hyper-join group tasks).
+Join keys here are dense integer ids (TPC-H order, part and customer keys),
+so it counts by *dense domain*: the build keys inside the key range
+``[lo, hi]`` both sides share are tallied with one ``np.bincount``, and each
+probe key inside the range looks up its build multiplicity — no sort, no
+hash table.  The counter array has one slot per value in the range, so the
+dense path only runs when that span is at most :data:`DENSE_SPAN_PER_ROW`
+times the number of keys being counted.  Non-integer keys and sparse spans
+take the sort-based :class:`KeyHistogram` count, whose memory is bounded by
+the input whatever the key values.
 """
 
 from __future__ import annotations
@@ -70,9 +82,56 @@ def join_match_count(left: KeyHistogram, right: KeyHistogram) -> int:
     return int((left.counts[left_idx] * right.counts[right_idx]).sum())
 
 
-def join_match_count_arrays(left_keys: np.ndarray, right_keys: np.ndarray) -> int:
-    """Convenience wrapper: join cardinality of two raw key arrays."""
-    return join_match_count(KeyHistogram.from_keys(left_keys), KeyHistogram.from_keys(right_keys))
+#: Largest key span (``hi - lo + 1``) per counted key for which dense
+#: counting runs.  The counter array then costs at most this many int64s per
+#: input key; wider (sparse) spans sort instead.  On a 2-CPU x86 host dense
+#: counting stays ahead of sorting up to about 32 values per key, so 8 keeps
+#: it well on the winning side while bounding its memory by the input.
+DENSE_SPAN_PER_ROW = 8
+
+
+def _span_offsets(keys: np.ndarray, key_range: tuple[int, int], lo: int, hi: int) -> np.ndarray:
+    """Offsets ``key - lo`` of the keys inside ``[lo, hi]``, as ``intp``.
+
+    ``key_range`` is the keys' own ``(min, max)``, which contains
+    ``[lo, hi]``; when the two are equal no key needs dropping.  Signed
+    keys are widened to int64 first (``hi - lo`` can overflow a narrow
+    dtype); uint64 keys subtract as they are, as no kept key is below ``lo``.
+    """
+    work = keys if keys.dtype == np.uint64 else keys.astype(np.int64, copy=False)
+    origin, top = np.asarray([lo, hi], dtype=work.dtype)
+    if key_range != (lo, hi):
+        work = work[(work >= origin) & (work <= top)]
+    return (work - origin).astype(np.intp, copy=False)
+
+
+def join_match_count_arrays(build_keys: np.ndarray, probe_keys: np.ndarray) -> int:
+    """Join cardinality of two raw key arrays: the sum over keys of build
+    multiplicity × probe multiplicity.
+
+    Integer keys whose shared range is dense count with one ``bincount``
+    over the build side and one gather over the probe side; everything
+    else takes the sort-based :func:`join_match_count`.  Both paths are
+    exact, so the choice never changes the answer.
+    """
+    if len(build_keys) == 0 or len(probe_keys) == 0:
+        return 0
+    if build_keys.dtype.kind in "iu" and probe_keys.dtype.kind in "iu":
+        build_range = (int(build_keys.min()), int(build_keys.max()))
+        probe_range = (int(probe_keys.min()), int(probe_keys.max()))
+        lo = max(build_range[0], probe_range[0])
+        hi = min(build_range[1], probe_range[1])
+        if lo > hi:
+            return 0
+        span = hi - lo + 1
+        if span <= DENSE_SPAN_PER_ROW * (len(build_keys) + len(probe_keys)):
+            counts = np.bincount(
+                _span_offsets(build_keys, build_range, lo, hi), minlength=span
+            )
+            return int(counts[_span_offsets(probe_keys, probe_range, lo, hi)].sum())
+    return join_match_count(
+        KeyHistogram.from_keys(build_keys), KeyHistogram.from_keys(probe_keys)
+    )
 
 
 def gather_columns(blocks: Iterable["Block"], columns: list[str]) -> dict[str, np.ndarray]:
@@ -83,31 +142,33 @@ def gather_columns(blocks: Iterable["Block"], columns: list[str]) -> dict[str, n
     not silently become int64 just because no block held rows).  int64 is
     only the last-resort default when no block carries the column at all.
     """
-    # Stream each block's raw parts (consolidated prefix + pending chunks):
-    # the batch concatenates across blocks anyway, so forcing a per-block
-    # consolidation first would just copy the data twice.
-    all_parts: list[dict[str, np.ndarray]] = []
+    # Reading ``block.columns`` consolidates a block's pending chunks once,
+    # on its first query read, and the block stays contiguous afterwards, so
+    # a block adaptation appended to is not re-stitched on every query.
+    # Block migration streams ``column_parts()`` instead: its sources are
+    # cleared right after the read, so consolidating them would be wasted.
+    gathered: dict[str, list[np.ndarray]] = {name: [] for name in columns}
     dtypes: dict[str, np.dtype] = {}
     for block in blocks:
+        block_columns = block.columns
         if block.num_rows == 0:
-            block_columns = block.columns
             for name in columns:
                 if name not in dtypes and name in block_columns:
                     dtypes[name] = block_columns[name].dtype
             continue
-        all_parts.extend(block.column_parts())
-    result: dict[str, np.ndarray] = {}
-    for name in columns:
-        try:
-            arrays = [part[name] for part in all_parts]
-        except KeyError:
-            raise StorageError(f"gathered blocks have no column {name!r}") from None
-        result[name] = (
+        for name, arrays in gathered.items():
+            try:
+                arrays.append(block_columns[name])
+            except KeyError:
+                raise StorageError(f"gathered blocks have no column {name!r}") from None
+    return {
+        name: (
             np.concatenate(arrays)
             if arrays
             else np.empty(0, dtype=dtypes.get(name, np.int64))
         )
-    return result
+        for name, arrays in gathered.items()
+    }
 
 
 def gather_filtered_keys(

@@ -15,7 +15,7 @@ import numpy as np
 from ..cluster.costmodel import CostModel
 from ..common.predicates import Predicate
 from ..storage.dfs import DistributedFileSystem
-from .kernels import KeyHistogram, hash_partition, join_match_count
+from .kernels import hash_partition, join_match_count_arrays
 
 
 @dataclass
@@ -99,9 +99,7 @@ def shuffle_join(
             if right_partitions[partition]
             else np.empty(0, dtype=np.int64)
         )
-        output_rows += join_match_count(
-            KeyHistogram.from_keys(left_keys), KeyHistogram.from_keys(right_keys)
-        )
+        output_rows += join_match_count_arrays(left_keys, right_keys)
 
     cost = cost_model.shuffle_join_cost(left_read, right_read)
     return JoinStats(

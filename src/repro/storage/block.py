@@ -274,10 +274,12 @@ class Block:
         """The block's raw storage parts, in row order, without consolidating.
 
         Returns the consolidated prefix (if it holds rows) followed by every
-        pending chunk in append order.  Batch readers that concatenate
-        across blocks anyway (``gather_columns``, block migration) stream
-        these directly instead of forcing a per-block consolidation copy.
-        Empty blocks yield no parts.  Treat the dicts as read-only.
+        pending chunk in append order.  Block migration streams these
+        directly: its source blocks are cleared right after the read, so a
+        consolidation copy would be wasted.  Query reads use
+        :attr:`columns` instead, which consolidates once and stays
+        contiguous.  Empty blocks yield no parts.  Treat the dicts as
+        read-only.
         """
         if self._num_rows == 0:
             return []

@@ -142,6 +142,17 @@ class DistributedFileSystem:
         if self.block_store is not None:
             self.block_store.forget_block(block_id)
 
+    def recharge(self, block: Block) -> None:
+        """Re-account a block whose contents changed in place.
+
+        Block migration and Amoeba re-splits rewrite blocks they reached
+        through :meth:`peek_block`, which bypasses the buffer; this keeps a
+        resident block's charge equal to its new ``size_bytes`` so the byte
+        budget does not drift.  Recency is left as it is.
+        """
+        if self.buffer is not None:
+            self.buffer.recharge(block)
+
     @mutates_partition_state
     def restore_block_counter(self, next_block_id: int) -> None:
         """Resume id allocation where a checkpointed session left off."""

@@ -109,6 +109,17 @@ class BlockBuffer:
         self._held[block.block_id] = block
         self.resident_bytes += block.size_bytes - previous
 
+    def recharge(self, block: "Block") -> None:
+        """Follow a resident block's size change, keeping its recency.
+
+        Non-resident blocks are not charged; their next fault charges them
+        at whatever size they have then.
+        """
+        previous = self._resident.get(block.block_id)
+        if previous is not None:
+            self._resident[block.block_id] = block.size_bytes
+            self.resident_bytes += block.size_bytes - previous
+
     def _enforce_budget(self, exclude: int | None = None) -> None:
         """Evict from the LRU end until the pool fits the budget.
 

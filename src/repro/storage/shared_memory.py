@@ -15,7 +15,7 @@ per-column arrays into named ``multiprocessing.shared_memory`` segments:
   fresh one, so a repartition can never leave workers reading old rows.
 * :class:`SharedSegmentCache` (worker side) attaches segments by name and
   wraps them in read-only :class:`SharedBlockView` objects exposing the
-  same ``num_rows`` / ``columns`` / ``column_parts()`` reader interface as
+  same ``num_rows`` / ``columns`` reader interface as
   :class:`~repro.storage.block.Block`, so the task kernels in
   ``repro.exec.kernels_tasks`` run unchanged in either process.
 
@@ -29,7 +29,7 @@ segment, so it can leak nothing).
 from __future__ import annotations
 
 import atexit
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import shared_memory
 from typing import TYPE_CHECKING
 
@@ -129,8 +129,8 @@ class TablePin:
 class SharedBlockView:
     """Read-only view of one pinned block, mimicking the Block reader API.
 
-    Exposes exactly the surface the task kernels consume: ``num_rows``,
-    ``columns`` and ``column_parts()``.  The arrays are zero-copy views
+    Exposes exactly the surface the task kernels consume: ``num_rows`` and
+    ``columns``.  The arrays are zero-copy views
     into the shared segment and must be treated as read-only.
     """
 
@@ -144,11 +144,6 @@ class SharedBlockView:
     @property
     def columns(self) -> dict[str, np.ndarray]:
         return self._columns
-
-    def column_parts(self) -> list[dict[str, np.ndarray]]:
-        if self.num_rows == 0:
-            return []
-        return [self._columns]
 
 
 def _views_of(buffer: memoryview, spec: BlockSpec) -> dict[str, np.ndarray]:

@@ -29,7 +29,7 @@ from ..common.sanitize import PartitionStateSnapshot, sanitize_enabled
 from ..common.predicates import Predicate
 from ..common.schema import Schema
 from ..partitioning.tree import PartitioningTree
-from .block import Block, compute_ranges, concatenate_columns
+from .block import Block, concatenate_columns
 from .dfs import DistributedFileSystem
 from .sampling import sample_columns
 
@@ -569,6 +569,7 @@ class StoredTable:
         """Append ``rows`` to an existing block and update the cached stats."""
         block = self.dfs.peek_block(block_id)
         block.append_rows(rows, chunk_ranges)
+        self.dfs.recharge(block)
         self._set_block_rows(block_id, block.num_rows)
 
     @mutates_partition_state
@@ -576,6 +577,7 @@ class StoredTable:
         """Empty a block in place (its rows have been migrated elsewhere)."""
         block = self.dfs.peek_block(block_id)
         block.clear(self._empty_columns())
+        self.dfs.recharge(block)
         self._set_block_rows(block_id, 0)
 
     def resplit_leaf_pair(
@@ -614,6 +616,8 @@ class StoredTable:
         goes_left = values <= cutpoint
         left_block.replace_columns({name: array[goes_left] for name, array in merged.items()})
         right_block.replace_columns({name: array[~goes_left] for name, array in merged.items()})
+        self.dfs.recharge(left_block)
+        self.dfs.recharge(right_block)
         self._set_block_rows(left_id, left_block.num_rows)
         self._set_block_rows(right_id, right_block.num_rows)
         return rows_moved

@@ -1,11 +1,13 @@
-"""Tests for repro.join.kernels (key histograms, match counting, hash partitioning)."""
+"""Tests for repro.join.kernels (key histograms, match counting, gathering, hash partitioning)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from repro.join import kernels
 from repro.join.kernels import (
+    DENSE_SPAN_PER_ROW,
     KeyHistogram,
     gather_columns,
     hash_partition,
@@ -74,6 +76,82 @@ class TestJoinMatchCount:
         left = rng.integers(0, 30, size=100)
         right = rng.integers(0, 30, size=150)
         assert join_match_count_arrays(left, right) == join_match_count_arrays(right, left)
+
+
+def brute_force_count(left: np.ndarray, right: np.ndarray) -> int:
+    return sum(int((right == key).sum()) for key in left)
+
+
+class TestMatchCountKernel:
+    """``join_match_count_arrays``: dense counting with the sort fallback."""
+
+    CASES = {
+        "negative-keys": (np.array([-5, -3, -3, 0, 2]), np.array([-3, -3, 2, 7, -9])),
+        "single-distinct-key": (np.full(40, 7), np.full(25, 7)),
+        "empty-build": (np.empty(0, dtype=np.int64), np.array([1, 2, 3])),
+        "empty-probe": (np.array([1, 2, 3]), np.empty(0, dtype=np.int64)),
+        "both-empty": (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)),
+        "heavy-duplicates": (np.repeat([1, 2, 3], 300), np.repeat([2, 3, 4], 200)),
+        "disjoint-ranges": (np.arange(0, 50), np.arange(100, 150)),
+        "probe-wider-than-build": (np.array([10, 11, 11]), np.arange(-1000, 1000)),
+        "sparse-span": (np.array([0, 10**12, 10**12]), np.array([10**12, 5, 0, 0])),
+        "int64-extremes": (
+            np.array([np.iinfo(np.int64).min, 0, np.iinfo(np.int64).max]),
+            np.array([np.iinfo(np.int64).max, np.iinfo(np.int64).min, 1]),
+        ),
+        "int8-full-range": (  # dense, but hi - lo overflows int8
+            np.repeat(np.array([-128, -1, 127], dtype=np.int8), 12),
+            np.repeat(np.array([127, -128, 5], dtype=np.int8), 12),
+        ),
+        "uint64": (
+            np.array([2**64 - 1, 2**64 - 3, 2**64 - 1], dtype=np.uint64),
+            np.array([2**64 - 1, 2**64 - 2, 2**64 - 3], dtype=np.uint64),
+        ),
+        "mixed-signedness": (
+            np.array([-4, 0, 3, 3], dtype=np.int64),
+            np.array([3, 0, 9], dtype=np.uint64),
+        ),
+        "float": (np.array([0.5, 1.5, 1.5, 2.0]), np.array([1.5, 2.0, 2.5])),
+        "float-nan": (np.array([np.nan, 1.0, 1.0]), np.array([np.nan, 1.0])),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_matches_bruteforce_and_is_symmetric(self, name):
+        build, probe = self.CASES[name]
+        expected = brute_force_count(build, probe)
+        assert join_match_count_arrays(build, probe) == expected
+        assert join_match_count_arrays(probe, build) == expected
+
+    def test_dense_span_counts_without_sorting(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(kernels, "join_match_count", lambda *a: calls.append(a) or 0)
+        build = np.arange(100, 200)
+        probe = np.arange(150, 400)
+        assert join_match_count_arrays(build, probe) == 50
+        assert calls == []
+
+    def test_sparse_span_falls_back_to_sorting(self, monkeypatch):
+        sorted_counts = []
+        sort_count = kernels.join_match_count
+
+        def spy(left, right):
+            sorted_counts.append(sort_count(left, right))
+            return sorted_counts[-1]
+
+        monkeypatch.setattr(kernels, "join_match_count", spy)
+        rows = 10
+        span = DENSE_SPAN_PER_ROW * 2 * rows + 1
+        build = np.array([0] * (rows - 1) + [span - 1])
+        probe = np.array([0, span - 1] * (rows // 2))
+        # Both sides span [0, span - 1], one value wider than the dense limit.
+        assert join_match_count_arrays(build, probe) == rows * (rows // 2)
+        assert sorted_counts == [rows * (rows // 2)]
+
+    def test_float_keys_fall_back_to_sorting(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(kernels, "join_match_count", lambda *a: calls.append(a) or 0)
+        join_match_count_arrays(np.array([1.0, 2.0]), np.array([2.0]))
+        assert len(calls) == 1
 
 
 class TestHashPartition:

@@ -312,6 +312,19 @@ class TestBufferedReadsBitIdentical:
 
         session = load_session(mmap_config(tmp_path), tpch_tables)
         buffer = session.persist.buffer
+        dfs = session.dfs
+        read_ids: set[int] = set()
+        consolidating_reads = 0
+        get_blocks = dfs.get_blocks
+
+        def recording_get_blocks(block_ids, reader_machine=None):
+            nonlocal consolidating_reads
+            blocks = get_blocks(block_ids, reader_machine)
+            read_ids.update(block_ids)
+            consolidating_reads += sum(block.num_pending_chunks > 0 for block in blocks)
+            return blocks
+
+        dfs.get_blocks = recording_get_blocks
         chaos = make_rng(99)
         fingerprints = []
         for query in queries:
@@ -324,10 +337,22 @@ class TestBufferedReadsBitIdentical:
                 buffer.drop_resident()
             elif roll == 2:
                 buffer.set_budget(None)
+            read_ids.clear()
             fingerprints.append(session.run(query).fingerprint())
+            # Reads consolidate appended chunks once, and the buffer still
+            # charges exactly what its resident blocks hold afterwards.
+            assert all(dfs.peek_block(b).num_pending_chunks == 0 for b in read_ids)
+            resident = [
+                dfs.peek_block(block_id)
+                for table in session.catalog.tables()
+                for block_id in table.block_ids()
+                if buffer.is_resident(block_id)
+            ]
+            assert buffer.resident_bytes == sum(block.size_bytes for block in resident)
         assert fingerprints == ref_fingerprints
         assert buffer.evictions > 0, "the audit must actually exercise eviction"
         assert buffer.faults > 0, "the audit must actually exercise faulting"
+        assert consolidating_reads > 0, "the audit must read blocks with pending chunks"
         # Every surviving block holds exactly the bytes the in-memory store has.
         assert_same_block_state(all_block_columns(session), expected_state)
         session.close()

@@ -70,6 +70,26 @@ class TestMask:
     def test_isin_mask(self):
         assert isin("a", (1, 9)).mask(self.values).sum() == 2
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.array([4, -2, 7, 4, 0, 11, -2], dtype=np.int64),
+            np.array([0.5, 2.0, np.nan, 4.0, -1.5, 2.0]),
+            np.array([np.nan, np.nan, 1.0]),
+            np.empty(0, dtype=np.int64),
+            np.empty(0, dtype=np.float64),
+        ],
+        ids=["int", "float", "nan", "empty-int", "empty-float"],
+    )
+    @pytest.mark.parametrize(
+        "members",
+        [(), (4,), (4, -2), (2.0, np.nan), (np.nan,), (0.5, 7, 11, 3, -1.5), (99, 100)],
+    )
+    def test_isin_mask_agrees_with_np_isin(self, values, members):
+        mask = isin("a", members).mask(values)
+        assert mask.dtype == np.bool_
+        np.testing.assert_array_equal(mask, np.isin(values, np.asarray(members)))
+
 
 class TestRangePruning:
     def test_eq_inside_range(self):

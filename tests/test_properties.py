@@ -26,6 +26,40 @@ key_arrays = arrays(
 
 
 @st.composite
+def key_array_pairs(draw):
+    """Two join-key arrays of one dtype over a shared value window.
+
+    The window's origin may be negative (signed dtypes) or near the top of
+    the uint64 range, and its width runs from a single distinct key to far
+    wider than the keys drawn, so both the dense-count path and the sort
+    fallback of the match-count kernel get exercised.
+    """
+    dtype = draw(st.sampled_from([np.int64, np.int32, np.uint64, np.float64]))
+    width = draw(st.sampled_from([0, 1, 5, 50, 1000, 10**9]))
+    if dtype is np.uint64:
+        origin = draw(st.sampled_from([0, 2**64 - 1 - width]))
+    elif dtype is np.int32:
+        width = min(width, 2**30)
+        origin = draw(st.integers(min_value=-(2**30), max_value=2**30))
+    else:
+        origin = draw(st.integers(min_value=-(2**40), max_value=2**40))
+    if dtype is np.float64:
+        elements = st.integers(min_value=0, max_value=width).map(
+            lambda offset: float(origin + offset) / 4
+        )
+    else:
+        elements = st.integers(min_value=origin, max_value=origin + width)
+    shape = st.integers(min_value=0, max_value=120)
+    return (
+        draw(arrays(dtype=dtype, shape=shape, elements=elements)),
+        draw(arrays(dtype=dtype, shape=shape, elements=elements)),
+    )
+
+
+key_pairs = st.one_of(st.tuples(key_arrays, key_arrays), key_array_pairs())
+
+
+@st.composite
 def interval_lists(draw, max_intervals=20):
     count = draw(st.integers(min_value=0, max_value=max_intervals))
     intervals = []
@@ -113,15 +147,17 @@ class TestGroupingProperties:
 
 
 class TestJoinKernelProperties:
-    @given(key_arrays, key_arrays)
-    @settings(max_examples=60, deadline=None)
-    def test_match_count_equals_bruteforce(self, left, right):
+    @given(key_pairs)
+    @settings(max_examples=150, deadline=None)
+    def test_match_count_equals_bruteforce(self, pair):
+        left, right = pair
         brute = sum(int((right == key).sum()) for key in left)
         assert join_match_count_arrays(left, right) == brute
 
-    @given(key_arrays, key_arrays)
-    @settings(max_examples=60, deadline=None)
-    def test_match_count_is_symmetric(self, left, right):
+    @given(key_pairs)
+    @settings(max_examples=150, deadline=None)
+    def test_match_count_is_symmetric(self, pair):
+        left, right = pair
         assert join_match_count_arrays(left, right) == join_match_count_arrays(right, left)
 
     @given(key_arrays, key_arrays, key_arrays)

@@ -9,7 +9,8 @@ Two families of properties introduced by the incremental-metadata work:
   ``drop_empty_trees``, Amoeba re-splits), and
 * chunked blocks must consolidate without observable change: row order,
   ranges and ``size_bytes`` are identical whether reads happen before,
-  between or after appends.
+  between or after appends, and a query read leaves the blocks it read
+  contiguous.
 """
 
 from __future__ import annotations
@@ -17,14 +18,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api.session import Session
 from repro.cluster import Cluster
 from repro.common.rng import make_rng
 from repro.common.schema import DataType, Schema
+from repro.core import AdaptDBConfig
 from repro.partitioning.two_phase import TwoPhasePartitioner
 from repro.partitioning.upfront import UpfrontPartitioner
 from repro.storage.block import Block, compute_ranges
 from repro.storage.dfs import DistributedFileSystem
 from repro.storage.table import ColumnTable, StoredTable
+from repro.testing import reference_join_count
+from repro.workloads.generators import switching_workload
 
 
 def make_stored(rows: int = 1500, rows_per_block: int = 64, seed: int = 11) -> StoredTable:
@@ -231,6 +236,46 @@ class TestChunkedBlockConsolidation:
         assert block.ranges == {}
         assert block.size_bytes == 0
         assert block.num_pending_chunks == 0
+
+    def test_query_reads_consolidate_adapted_blocks_once(self, tpch_tables):
+        """Blocks adaptation appended to are contiguous after one query read."""
+        session = Session(
+            config=AdaptDBConfig(
+                rows_per_block=512, window_size=10, seed=3, persistence="memory"
+            )
+        )
+        for name in ("lineitem", "orders", "part"):
+            session.load_table(tpch_tables[name])
+        queries = switching_workload(["q12", "q14"], 4, make_rng(1))
+        session.run_workload(queries)
+        dfs = session.dfs
+        read_ids: list[int] = []
+        get_blocks = dfs.get_blocks
+
+        def recording_get_blocks(block_ids, reader_machine=None):
+            read_ids.extend(block_ids)
+            return get_blocks(block_ids, reader_machine)
+
+        dfs.get_blocks = recording_get_blocks
+        pending = {
+            block_id
+            for table in session.catalog.tables()
+            for block_id in table.block_ids()
+            if dfs.peek_block(block_id).num_pending_chunks
+        }
+        for query in (queries[0], queries[-1]):  # one q12, one q14
+            result = session.run(query, adapt=False)
+            clause = query.joins[0]
+            assert result.output_rows == reference_join_count(
+                tpch_tables[clause.left_table],
+                tpch_tables[clause.right_table],
+                clause.left_column,
+                clause.right_column,
+                query.predicates_on(clause.left_table),
+                query.predicates_on(clause.right_table),
+            )
+        assert pending & set(read_ids), "the queries must read a block with pending chunks"
+        assert all(dfs.peek_block(block_id).num_pending_chunks == 0 for block_id in read_ids)
 
     def test_column_parts_stream_in_row_order(self):
         block = self.make_block()
