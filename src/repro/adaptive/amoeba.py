@@ -14,14 +14,15 @@ the join levels at the top are managed by smooth repartitioning instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..common.epochs import epoch_keyed
-from ..common.predicates import Predicate
+from ..common.errors import PlanningError
+from ..common.predicates import Operator, Predicate
 from ..partitioning.builders import median_cutpoint
-from ..partitioning.tree import TreeNode
+from ..partitioning.tree import PartitioningTree, TreeNode
 from ..storage.table import StoredTable
 from .window import QueryWindow
 
@@ -66,19 +67,18 @@ class AmoebaAdaptor:
             incoming query; keeps adaptation incremental.
         benefit_threshold: Minimum net benefit required to apply a transform.
 
-    Candidate enumeration runs every query over every bottom-level node, so
-    its two pure sub-computations are memoized: candidate cutpoints (the
-    table sample never changes, so a (table, attribute, bounds) key is exact)
-    and the per-predicate-set block-touch counts used by the benefit
-    estimate (keyed on the node's split and the query's predicate tuple).
+    Candidate enumeration runs every query over every bottom-level node of
+    every tree, so it is array-shaped: per tree, the nodes' current splits
+    and each hot attribute's candidate cutpoints are arrays over the bottom
+    nodes, and the window's touched-leaf count for a whole array of
+    cutpoints is a few ``searchsorted`` calls (:class:`WindowTouches`).  The
+    only state kept across calls is the candidate cutpoints, memoized with
+    the tree's compiled form until a re-split changes the nodes' bounds.
     """
 
     repartition_cost_per_block: float = 2.5
     max_transforms_per_query: int = 1
     benefit_threshold: float = 0.0
-    _cutpoint_cache: dict = field(default_factory=dict, repr=False)
-    _touched_cache: dict = field(default_factory=dict, repr=False)
-    _predicate_tokens: dict = field(default_factory=dict, repr=False)
 
     # ------------------------------------------------------------------ #
     # Candidate generation
@@ -86,7 +86,11 @@ class AmoebaAdaptor:
     def candidate_transforms(
         self, table: StoredTable, window: QueryWindow
     ) -> list[TransformCandidate]:
-        """Enumerate bottom-level re-split candidates driven by window predicates."""
+        """Enumerate bottom-level re-split candidates driven by window predicates.
+
+        Candidates come in (tree, node, attribute) order, then stably sorted
+        by descending benefit.
+        """
         predicate_counts = window.predicate_attribute_counts(table.name)
         hot_attributes = [
             attribute
@@ -96,75 +100,67 @@ class AmoebaAdaptor:
         if not hot_attributes:
             return []
 
-        # Tokenize each window query's predicate tuple once (the benefit memo
-        # keys on the small integer token instead of re-hashing the predicate
-        # dataclasses per candidate) and index the window entries by the
-        # attributes they actually constrain: an entry without a predicate on
-        # a split attribute always touches both leaves, so only the relevant
-        # entries need per-cutpoint evaluation.
-        self._trim_caches()
-        window_predicates: list[tuple[int, tuple[Predicate, ...]]] = []
-        entries_by_attr: dict[str, list[tuple[int, tuple[Predicate, ...]]]] = {}
-        for query in window.queries_on(table.name):
-            predicates = tuple(query.predicates_on(table.name))
-            if not predicates:
-                continue
-            token = self._predicate_tokens.setdefault(
-                predicates, len(self._predicate_tokens)
-            )
-            window_predicates.append((token, predicates))
-            for column in sorted({predicate.column for predicate in predicates}):
-                entries_by_attr.setdefault(column, []).append((token, predicates))
-        total_entries = len(window_predicates)
+        entries = [
+            predicates
+            for query in window.queries_on(table.name)
+            if (predicates := query.predicates_on(table.name))
+        ]
+        total_entries = len(entries)
+        touches = WindowTouches.of_window(entries)
+
+        def touched(attribute: str, cutpoints: np.ndarray) -> np.ndarray:
+            """Σ over the window of the leaves read, per cutpoint on ``attribute``."""
+            counts = touches.get(attribute)
+            if counts is None:
+                return np.full(len(cutpoints), 2 * total_entries, dtype=np.int64)
+            return 2 * (total_entries - counts.entries) + counts.touched(cutpoints)
+
+        repartition_cost = self.repartition_cost_per_block * 2
         candidates: list[TransformCandidate] = []
         for tree_id, tree in table.trees.items():
-            for node, bounds in tree.bottom_internal_nodes():
-                if tree.join_attribute is not None and node.attribute == tree.join_attribute:
-                    # Never down-grade a join-attribute split into a selection
-                    # split: the join levels are managed by smooth repartitioning.
-                    continue
-                # One nested cache level per (table, bounds): attribute keys
-                # are plain strings whose hashes python caches, so the hot
-                # memo-hit path never re-hashes the bounds tuple.
-                node_cutpoints = self._cutpoint_cache.setdefault(
-                    (table.name, tuple(sorted(bounds.items()))), {}
+            bottom = tree.bottom_node_arrays()
+            if not bottom.bottom_nodes:
+                continue
+            split_attr = bottom.node_attr[bottom.bottom]
+            split_cut = bottom.cutpoints[bottom.bottom]
+            current = np.empty(len(split_attr), dtype=np.int64)
+            for attr_index in np.unique(split_attr).tolist():
+                on_attr = split_attr == attr_index
+                current[on_attr] = touched(bottom.attributes[attr_index], split_cut[on_attr])
+            # Never down-grade a join-attribute split into a selection split:
+            # the join levels are managed by smooth repartitioning.
+            join_index = (
+                -1 if tree.join_attribute is None
+                else bottom.attribute_index.get(tree.join_attribute, -1)
+            )
+            eligible = split_attr != join_index
+            cutpoints = []
+            keep = np.empty((len(split_attr), len(hot_attributes)), dtype=bool)
+            benefits = np.empty(keep.shape, dtype=np.float64)
+            for column, attribute in enumerate(hot_attributes):
+                node_cutpoints = self._node_cutpoints(table, tree, attribute)
+                cutpoints.append(node_cutpoints)
+                benefits[:, column] = (
+                    current - touched(attribute, node_cutpoints)
+                ).astype(np.float64) - repartition_cost
+                keep[:, column] = (
+                    eligible
+                    & (split_attr != bottom.attribute_index.get(attribute, -1))
+                    & ~np.isnan(node_cutpoints)
+                    & (benefits[:, column] > self.benefit_threshold)
                 )
-                for attribute in hot_attributes:
-                    if attribute == node.attribute:
-                        continue
-                    cutpoint = self._cutpoint_for(table, attribute, bounds, node_cutpoints)
-                    if cutpoint is None:
-                        continue
-                    benefit = self._estimate_benefit(
-                        node, attribute, cutpoint, entries_by_attr, total_entries
+            for node, column in zip(*(axis.tolist() for axis in np.nonzero(keep))):
+                candidates.append(
+                    TransformCandidate(
+                        tree_id=tree_id,
+                        node=bottom.bottom_nodes[node],
+                        new_attribute=hot_attributes[column],
+                        new_cutpoint=float(cutpoints[column][node]),
+                        benefit=float(benefits[node, column]),
                     )
-                    if benefit > self.benefit_threshold:
-                        candidates.append(
-                            TransformCandidate(
-                                tree_id=tree_id,
-                                node=node,
-                                new_attribute=attribute,
-                                new_cutpoint=cutpoint,
-                                benefit=benefit,
-                            )
-                        )
+                )
         candidates.sort(key=lambda candidate: -candidate.benefit)
         return candidates
-
-    _MEMO_LIMIT = 16_384
-
-    def _trim_caches(self) -> None:
-        """Bound the memo tables for workloads with non-repeating predicates.
-
-        ``_touched_cache`` keys on tokens issued by ``_predicate_tokens``,
-        so the two must be dropped together — clearing only the tokens would
-        let a reissued token alias a stale cached count.
-        """
-        if len(self._predicate_tokens) > self._MEMO_LIMIT or len(self._touched_cache) > self._MEMO_LIMIT:
-            self._predicate_tokens.clear()
-            self._touched_cache.clear()
-        if len(self._cutpoint_cache) > self._MEMO_LIMIT:
-            self._cutpoint_cache.clear()
 
     # ------------------------------------------------------------------ #
     # Adaptation
@@ -205,107 +201,206 @@ class AmoebaAdaptor:
         )
 
     # ------------------------------------------------------------------ #
-    # Benefit estimation
+    # Candidate cutpoints
     # ------------------------------------------------------------------ #
-    def _estimate_benefit(
-        self,
-        node: TreeNode,
-        attribute: str,
-        cutpoint: float,
-        entries_by_attr: dict[str, list[tuple[int, tuple[Predicate, ...]]]],
-        total_entries: int,
-    ) -> float:
-        """Blocks saved over the window if ``node`` were re-split on ``attribute``."""
-        assert node.left is not None and node.right is not None
-        current = self._touched_sum(node.attribute, node.cutpoint, entries_by_attr, total_entries)
-        proposed = self._touched_sum(attribute, cutpoint, entries_by_attr, total_entries)
-        return float(current - proposed) - self.repartition_cost_per_block * 2
+    @epoch_keyed(reads=("sample", "bottom_node_arrays"))
+    def _node_cutpoints(
+        self, table: StoredTable, tree: PartitioningTree, attribute: str
+    ) -> np.ndarray:
+        """Candidate cutpoint on ``attribute`` per bottom node of ``tree`` (NaN: none).
 
-    def _touched_sum(
-        self,
-        attribute: str | None,
-        cutpoint: float | None,
-        entries_by_attr: dict[str, list[tuple[int, tuple[Predicate, ...]]]],
-        total_entries: int,
-    ) -> int:
-        """Σ over the window of blocks touched under one (attribute, cutpoint) split.
-
-        Window entries without a predicate on ``attribute`` contribute a flat
-        2 (both leaves read); only the entries indexed under ``attribute``
-        need per-cutpoint evaluation.
+        The cutpoint is the median of ``attribute`` over the sample rows
+        inside the node's path bounds (the whole sample if fewer than two).
+        Memoized in the compiled tree's ``bottom_memo``, which a re-split
+        empties whenever it changes the nodes' path bounds.  A tree belongs
+        to one table and the table sample is fixed at load time, so the
+        table name and attribute complete the key.
         """
-        if attribute is None or cutpoint is None:
-            return 2 * total_entries
-        relevant = entries_by_attr.get(attribute)
-        if not relevant:
-            return 2 * total_entries
-        return 2 * (total_entries - len(relevant)) + sum(
-            self._blocks_touched(attribute, cutpoint, predicates, token)
-            for token, predicates in relevant
+        memo = tree.bottom_node_arrays().bottom_memo
+        key = (table.name, attribute)
+        cutpoints = memo.get(key)
+        if cutpoints is None:
+            values = table.sample.get(attribute)
+            cutpoints = np.full(len(tree.bottom_node_arrays().bottom_nodes), math.nan)
+            if values is not None and len(values):
+                for node, rows in enumerate(self._node_sample_rows(table, tree)):
+                    subset = values[rows] if len(rows) >= 2 else values
+                    cutpoint = median_cutpoint(subset)
+                    # median_cutpoint never returns NaN, so NaN can stand for "none".
+                    if cutpoint is not None:
+                        cutpoints[node] = cutpoint
+            memo[key] = cutpoints
+        return cutpoints
+
+    @epoch_keyed(reads=("sample", "bottom_node_arrays", "bottom_internal_nodes"))
+    def _node_sample_rows(self, table: StoredTable, tree: PartitioningTree) -> list[np.ndarray]:
+        """Per bottom node of ``tree``, the sample rows inside its path bounds.
+
+        Shared by every attribute's cutpoints, memoized like them.
+        """
+        memo = tree.bottom_node_arrays().bottom_memo
+        key = (table.name,)
+        rows = memo.get(key)
+        if rows is None:
+            sample = table.sample
+            size = len(next(iter(sample.values()))) if sample else 0
+            rows = []
+            for _, bounds in tree.bottom_internal_nodes():
+                mask = np.ones(size, dtype=bool)
+                for bounded_attribute, (lo, hi) in bounds.items():
+                    if bounded_attribute in sample:
+                        bounded = sample[bounded_attribute]
+                        mask &= (bounded >= lo) & (bounded <= hi)
+                rows.append(np.flatnonzero(mask))
+            memo[key] = rows
+        return rows
+
+
+# ---------------------------------------------------------------------- #
+# Window touch counts
+# ---------------------------------------------------------------------- #
+#: How one side of a split treats a cutpoint ``c``: a constant, or
+#: ``(t, strict)`` — the left leaf is read iff ``c > t`` (strict) or
+#: ``c >= t``; the right leaf iff ``c < t`` (strict) or ``c <= t``.
+SideTest = bool | tuple[float, bool]
+
+
+def _side_tests(predicate: Predicate) -> tuple[SideTest, SideTest]:
+    """``may_match_range(-inf, c)`` and ``may_match_range(c, inf)`` as tests on ``c``.
+
+    Exact for every non-NaN ``c`` (NaN cutpoints read both leaves and are
+    handled by the caller).
+    """
+    op, value = predicate.op, predicate.value
+    if op is Operator.IN:
+        assert isinstance(value, tuple)
+        members = [member for member in value if not math.isnan(member)]
+        if not members:
+            return False, False
+        return (min(members), False), (max(members), False)
+    assert not isinstance(value, tuple)  # only IN carries a tuple
+    if op is Operator.BETWEEN:
+        assert predicate.high is not None
+        high = predicate.high
+        return (
+            True if math.isnan(value) else (value, False),
+            True if math.isnan(high) else (high, False),
+        )
+    if math.isnan(value):
+        # Every comparison with NaN is false: only != still matches.
+        return op is Operator.NE, op is Operator.NE
+    if op is Operator.EQ:
+        return (value, False), (value, False)
+    if op is Operator.NE:  # [v, v] is the only interval != v rules out
+        return (
+            (value, True) if value == -math.inf else True,
+            (value, True) if value == math.inf else True,
+        )
+    if op is Operator.LT:
+        return bool(value > -math.inf), (value, True)
+    if op is Operator.LE:
+        return True, (value, False)
+    if op is Operator.GT:
+        return (value, True), bool(value < math.inf)
+    if op is Operator.GE:
+        return (value, False), True
+    raise PlanningError(f"unsupported operator {op}")
+
+
+def _conjoin(tests: list[SideTest], left: bool) -> SideTest:
+    """The AND of one side's tests: the tightest threshold, strict on ties."""
+    tightest: tuple[float, bool] | None = None
+    for test in tests:
+        if not isinstance(test, tuple):
+            if test:
+                continue
+            return False
+        threshold, strict = test
+        if tightest is None or (
+            threshold > tightest[0] if left else threshold < tightest[0]
+        ):
+            tightest = (threshold, strict)
+        elif threshold == tightest[0] and strict:
+            tightest = (threshold, True)
+    return True if tightest is None else tightest
+
+
+@dataclass
+class WindowTouches:
+    """Leaves of a bottom node the window reads, per cutpoint on one attribute.
+
+    Covers the window entries (one query's predicates on the table) with a
+    predicate on the attribute.  An entry reads the left leaf iff all those
+    predicates may match ``(-inf, c]`` and the right leaf iff they may match
+    ``[c, inf)``; per entry and side that is a constant or one threshold
+    test (:func:`_side_tests`, :func:`_conjoin`).  Summing over the window
+    for a whole array of cutpoints is then four ``searchsorted`` calls over
+    the sorted thresholds.
+
+    Attributes:
+        entries: Window entries with a predicate on the attribute.
+        always: Leaf reads that hold whatever the cutpoint.
+        left_ge / left_gt: Sorted ``t`` of left tests ``c >= t`` / ``c > t``.
+        right_le / right_lt: Sorted ``t`` of right tests ``c <= t`` / ``c < t``.
+    """
+
+    entries: int
+    always: int
+    left_ge: np.ndarray
+    left_gt: np.ndarray
+    right_le: np.ndarray
+    right_lt: np.ndarray
+
+    @classmethod
+    def of_window(cls, window_predicates: list[list[Predicate]]) -> dict[str, "WindowTouches"]:
+        """One instance per attribute the window's entries constrain."""
+        per_attribute: dict[str, list[tuple[SideTest, SideTest]]] = {}
+        for predicates in window_predicates:
+            tests: dict[str, list[tuple[SideTest, SideTest]]] = {}
+            for predicate in predicates:
+                tests.setdefault(predicate.column, []).append(_side_tests(predicate))
+            for column, pairs in tests.items():
+                per_attribute.setdefault(column, []).append(
+                    (
+                        _conjoin([left for left, _ in pairs], left=True),
+                        _conjoin([right for _, right in pairs], left=False),
+                    )
+                )
+        return {column: cls._of_entries(sides) for column, sides in per_attribute.items()}
+
+    @classmethod
+    def _of_entries(cls, sides: list[tuple[SideTest, SideTest]]) -> "WindowTouches":
+        always = 0
+        thresholds: dict[tuple[bool, bool], list[float]] = {
+            (left, strict): [] for left in (True, False) for strict in (True, False)
+        }
+        for entry in sides:
+            for left, test in zip((True, False), entry):
+                if isinstance(test, tuple):
+                    thresholds[(left, test[1])].append(test[0])
+                elif test:
+                    always += 1
+        arrays = {
+            key: np.sort(np.array(values, dtype=np.float64)) for key, values in thresholds.items()
+        }
+        return cls(
+            entries=len(sides),
+            always=always,
+            left_ge=arrays[(True, False)],
+            left_gt=arrays[(True, True)],
+            right_le=arrays[(False, False)],
+            right_lt=arrays[(False, True)],
         )
 
-    @epoch_keyed(reads=())
-    def _blocks_touched(
-        self,
-        attribute: str | None,
-        cutpoint: float | None,
-        predicates: tuple[Predicate, ...],
-        token: int,
-    ) -> int:
-        """How many of a bottom node's two leaf blocks the predicates must read."""
-        if attribute is None or cutpoint is None:
-            return 2
-        key = (attribute, cutpoint, token)
-        cached = self._touched_cache.get(key)
-        if cached is not None:
-            return cached
-        relevant = [predicate for predicate in predicates if predicate.column == attribute]
-        if not relevant:
-            touched = 2
-        else:
-            touched = 0
-            if all(predicate.may_match_range(-math.inf, cutpoint) for predicate in relevant):
-                touched += 1
-            if all(predicate.may_match_range(cutpoint, math.inf) for predicate in relevant):
-                touched += 1
-            touched = max(touched, 0)
-        self._touched_cache[key] = touched
-        return touched
-
-    @epoch_keyed(reads=("sample",))
-    def _cutpoint_for(
-        self,
-        table: StoredTable,
-        attribute: str,
-        bounds: dict[str, tuple[float, float]],
-        memo: dict | None = None,
-    ) -> float | None:
-        """Median of ``attribute`` in the table sample, restricted to ``bounds``.
-
-        The sample is fixed at load time, so results are memoized per
-        ``(table, bounds)`` in ``memo`` (a nested level of
-        ``_cutpoint_cache``) under the attribute name.
-        """
-        if memo is None:
-            memo = self._cutpoint_cache.setdefault(
-                (table.name, tuple(sorted(bounds.items()))), {}
-            )
-        if attribute in memo:
-            return memo[attribute]
-        sample = table.sample
-        if attribute not in sample or len(sample[attribute]) == 0:
-            cutpoint = None
-        else:
-            mask = np.ones(len(sample[attribute]), dtype=bool)
-            for bounded_attribute, (lo, hi) in bounds.items():
-                if bounded_attribute in sample:
-                    values = sample[bounded_attribute]
-                    mask &= (values >= lo) & (values <= hi)
-            subset = sample[attribute][mask]
-            if len(subset) < 2:
-                subset = sample[attribute]
-            cutpoint = median_cutpoint(subset)
-        memo[attribute] = cutpoint
-        return cutpoint
-
-
+    def touched(self, cutpoints: np.ndarray) -> np.ndarray:
+        """Leaves read, summed over the covered entries, per cutpoint."""
+        counts = (
+            self.always
+            + np.searchsorted(self.left_ge, cutpoints, side="right")
+            + np.searchsorted(self.left_gt, cutpoints, side="left")
+            + len(self.right_le)
+            - np.searchsorted(self.right_le, cutpoints, side="left")
+            + len(self.right_lt)
+            - np.searchsorted(self.right_lt, cutpoints, side="right")
+        )
+        return np.where(np.isnan(cutpoints), 2 * self.entries, counts).astype(np.int64)

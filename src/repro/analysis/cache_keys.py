@@ -1,7 +1,7 @@
 """Cache-key soundness checker.
 
 Epoch-keyed functions (the plan cache, the hyper-plan memo, the Amoeba
-cutpoint/benefit tables) are replayed whenever the key — which embeds
+candidate-cutpoint memo) are replayed whenever the key — which embeds
 the owning tables' epochs — matches.  That is only sound if everything
 mutable the function reads is *covered* by the epoch: changing it bumps
 the epoch and therefore changes the key.  Two rules:
@@ -68,6 +68,7 @@ MUTABLE_ATTRS = frozenset(
         "leaves",
         "leaf_bounds",
         "bottom_internal_nodes",
+        "bottom_node_arrays",
     }
 )
 
@@ -76,8 +77,8 @@ REQUIRED_REGISTRATIONS: dict[str, tuple[str, ...]] = {
     "repro.join.hyperjoin": ("plan_hyper_join", "HyperPlanCache.get_or_plan"),
     "repro.core.optimizer": ("Optimizer._relevant_blocks", "Optimizer._hyper_plan"),
     "repro.adaptive.amoeba": (
-        "AmoebaAdaptor._cutpoint_for",
-        "AmoebaAdaptor._blocks_touched",
+        "AmoebaAdaptor._node_cutpoints",
+        "AmoebaAdaptor._node_sample_rows",
     ),
 }
 

@@ -390,8 +390,7 @@ class Session:
                 scan_blocks={table: list(ids) for table, ids in base.scan_blocks.items()},
                 join_decisions=list(base.join_decisions),
                 relevant_blocks={
-                    name: list(self.optimizer.relevant_blocks(name, query))
-                    for name, _ in epochs
+                    name: list(base.relevant_blocks[name]) for name, _ in epochs
                 },
             )
             self.plan_cache.put(key, entry)
@@ -441,8 +440,8 @@ class Session:
         *touched* block entered the lookup (a re-split elsewhere in a tree
         can pull new blocks *into* a pruned set without touching the old
         ones).  Untouched blocks provably keep their membership — their row
-        counts and leaf path bounds are unchanged within a preserved tree
-        set — so only the delta's touched blocks need the O(depth)
+        counts and leaf boxes are unchanged within a preserved tree set — so
+        only the delta's touched blocks need the one-leaf
         ``lookup_contains`` probe, never a full O(blocks) lookup.  Any doubt
         returns ``None``: the caller replans cold, which is always correct.
         """

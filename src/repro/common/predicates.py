@@ -93,6 +93,42 @@ class Predicate:
             return not (hi < value or lo > self.high)
         raise PlanningError(f"unsupported operator {self.op}")
 
+    def may_match_ranges(
+        self, lo: NDArray[np.float64], hi: NDArray[np.float64]
+    ) -> NDArray[np.bool_]:
+        """Vector twin of :meth:`may_match_range` over paired interval bounds.
+
+        Element ``i`` of the result equals ``may_match_range(lo[i], hi[i])``
+        (comparison values are exact in float64 up to ±2**53).
+        """
+        value = self.value
+        result: NDArray[np.bool_]
+        if self.op is Operator.IN:
+            assert isinstance(value, tuple)
+            result = np.zeros(np.shape(lo), dtype=bool)
+            for member in value:
+                result |= (lo <= member) & (hi >= member)
+        else:
+            assert not isinstance(value, tuple)  # only IN carries a tuple
+            if self.op is Operator.EQ:
+                result = (lo <= value) & (hi >= value)
+            elif self.op is Operator.NE:
+                result = ~((lo == hi) & (hi == value))
+            elif self.op is Operator.LT:
+                result = lo < value
+            elif self.op is Operator.LE:
+                result = lo <= value
+            elif self.op is Operator.GT:
+                result = hi > value
+            elif self.op is Operator.GE:
+                result = hi >= value
+            elif self.op is Operator.BETWEEN:
+                assert self.high is not None
+                result = ~((hi < value) | (lo > self.high))
+            else:
+                raise PlanningError(f"unsupported operator {self.op}")
+        return result | np.isnan(lo) | np.isnan(hi)
+
     # ------------------------------------------------------------------ #
     # Row-level filtering
     # ------------------------------------------------------------------ #

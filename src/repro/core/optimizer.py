@@ -60,13 +60,18 @@ class JoinDecision:
 
 @dataclass
 class QueryPlan:
-    """Everything the executor needs to run one query."""
+    """Everything the executor needs to run one query.
+
+    ``relevant_blocks`` holds the one block lookup made per table, which
+    the scan and join decisions share (the lists are read-only).
+    """
 
     query: Query
     scan_tables: list[str]
     scan_blocks: dict[str, list[int]]
     join_decisions: list[JoinDecision]
     adaptation: RepartitionReport = field(default_factory=RepartitionReport)
+    relevant_blocks: dict[str, list[int]] = field(default_factory=dict)
 
 
 @dataclass
@@ -96,25 +101,28 @@ class Optimizer:
 
         joined_tables = {table for clause in query.joins for table in (clause.left_table, clause.right_table)}
         scan_tables = [table for table in query.tables if table not in joined_tables]
-        scan_blocks = {
-            table: self._relevant_blocks(table, query) for table in scan_tables
+        relevant = {
+            table: self._relevant_blocks(table, query) for table in dict.fromkeys(query.tables)
         }
-        decisions = [self._decide_join(query, clause) for clause in query.joins]
+        decisions = [self._decide_join(clause, relevant) for clause in query.joins]
         return QueryPlan(
             query=query,
             scan_tables=scan_tables,
-            scan_blocks=scan_blocks,
+            scan_blocks={table: relevant[table] for table in scan_tables},
             join_decisions=decisions,
             adaptation=adaptation,
+            relevant_blocks=relevant,
         )
 
     # ------------------------------------------------------------------ #
     # Join decisions
     # ------------------------------------------------------------------ #
-    def _decide_join(self, query: Query, clause: JoinClause) -> JoinDecision:
+    def _decide_join(
+        self, clause: JoinClause, relevant: dict[str, list[int]]
+    ) -> JoinDecision:
         classification = classify_join(self.catalog, clause)
-        left_blocks = self._relevant_blocks(clause.left_table, query)
-        right_blocks = self._relevant_blocks(clause.right_table, query)
+        left_blocks = relevant[clause.left_table]
+        right_blocks = relevant[clause.right_table]
 
         shuffle_cost = self.cluster.cost_model.shuffle_join_cost(
             len(left_blocks), len(right_blocks)
@@ -211,14 +219,6 @@ class Optimizer:
     # ------------------------------------------------------------------ #
     # Block relevance
     # ------------------------------------------------------------------ #
-    def relevant_blocks(self, table_name: str, query: Query) -> list[int]:
-        """Public view of the relevant-block computation.
-
-        Used by the session's plan-cache revalidation to compare a cached
-        plan's recorded block sets against the current partition state.
-        """
-        return self._relevant_blocks(table_name, query)
-
     @epoch_keyed(reads=("lookup", "non_empty_block_ids"))
     def _relevant_blocks(self, table_name: str, query: Query) -> list[int]:
         """Blocks of ``table_name`` that must be read for ``query``.

@@ -18,12 +18,16 @@ Section 5.1).
 Both hot entry points run off a *compiled* form of the tree: flat numpy
 arrays (per-node attribute index, cutpoint and child offsets, plus the
 left-to-right leaf list) built once and cached until the structure changes.
-``lookup`` walks the arrays iteratively, narrowing one ``(lo, hi)`` interval
-per attribute in place instead of copying a bounds dict per node, and
-``route_rows`` advances all rows level-synchronously through the node arrays
-instead of rebuilding ``leaves()`` and an ``id()``-keyed index per call.
-Structural edits must go through :meth:`resplit_node` (or call
-:meth:`invalidate_compiled`) so the cache is rebuilt.
+``route_rows`` advances all rows level-synchronously through the node arrays.
+Pruning runs off the compiled form's *box table*: for every attribute and
+leaf, the value interval the leaf's root-to-leaf path allows and how often
+the path splits on the attribute.  ``lookup`` tests each predicate against a
+whole attribute row of the table at once (:meth:`Predicate.may_match_ranges`),
+``lookup_block`` applies the same test to one leaf, and ``leaf_bounds`` and
+``bottom_internal_nodes`` read their bounds out of the same table.
+Structural edits must go through :meth:`resplit_node` (which re-derives the
+table for the re-split node's subtree only) or call
+:meth:`invalidate_compiled` so the cache is rebuilt.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ import numpy as np
 
 from ..common.epochs import mutates_partition_state
 from ..common.errors import PartitioningError
-from ..common.predicates import Predicate
+from ..common.predicates import Operator, Predicate
 
 
 @dataclass
@@ -75,12 +79,30 @@ class TreeNode:
 class CompiledTree:
     """Flat, allocation-friendly form of a partitioning tree.
 
-    Nodes are numbered in preorder (root = 0).  ``node_attr[i]`` is the index
-    into ``attributes`` of node ``i``'s split attribute, or ``-1`` for a
-    leaf; ``left``/``right`` hold child node numbers (``-1`` for leaves) and
-    ``leaf_pos`` maps a leaf node number to its left-to-right leaf position.
-    ``leaf_nodes`` keeps the live :class:`TreeNode` references so block-id
-    (re)binding never stales the cache.
+    Nodes are numbered in preorder (root = 0).  ``node_attr[i]`` is the index into ``attributes`` of node ``i``'s split
+    attribute, or ``-1`` for a leaf; ``left``/``right`` hold child node
+    numbers (``-1`` for leaves) and ``leaf_pos`` maps a leaf node number to
+    its left-to-right leaf position.  ``leaf_blocks``/``leaf_bound`` hold
+    each leaf's block id and whether it is bound, and ``block_leaf`` maps a
+    bound block id to its leaf position.
+
+    The *box table* has one row per attribute and one column per leaf, left
+    to right.  ``box_lo``/``box_hi`` are the leaf's path interval on the
+    attribute: every split on the path narrows it, but only with a cutpoint
+    strictly inside, so NaN cutpoints never narrow.  ``box_splits`` counts
+    the path's splits on the attribute; a leaf is never pruned on an
+    attribute its path does not split.  ``box_point`` is the value ``v`` if
+    the path interval was ever exactly ``[v, v]`` (NaN otherwise): ``!=`` is
+    the one operator that is not monotone under narrowing, so pruning it
+    needs that piece of path history rather than the final interval.
+
+    ``bottom`` holds the node numbers of the bottom internal nodes (both
+    children leaves), left to right, ``bottom_nodes`` the nodes themselves
+    and ``bottom_leaf`` each one's left-child leaf position.  A bottom
+    node's path bounds are ``box_lo[:, leaf]`` and ``box_hi[:, leaf + 1]``
+    (its own split narrows only the left child's ``hi`` and the right
+    child's ``lo``).  ``bottom_memo`` is a consumer memo over those bounds,
+    emptied whenever a re-split changes them.
     """
 
     attributes: list[str]
@@ -93,8 +115,109 @@ class CompiledTree:
     leaf_nodes: list[TreeNode]
     node_index: dict[int, int]
     parent: np.ndarray
-    all_block_ids: list[int] | None = None
-    block_leaf_node: dict[int, int] | None = None
+    box_lo: np.ndarray
+    box_hi: np.ndarray
+    box_splits: np.ndarray
+    box_point: np.ndarray
+    bottom: np.ndarray
+    bottom_nodes: list[TreeNode]
+    bottom_leaf: np.ndarray
+    leaf_blocks: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    leaf_bound: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
+    block_leaf: dict[int, int] = field(default_factory=dict)
+    bottom_memo: dict[object, object] = field(default_factory=dict)
+
+    def bind_leaves(self) -> None:
+        """Re-read the leaves' block ids into ``leaf_blocks``/``leaf_bound``/``block_leaf``."""
+        ids = [leaf.block_id for leaf in self.leaf_nodes]
+        self.leaf_bound = np.array([block_id is not None for block_id in ids], dtype=bool)
+        self.leaf_blocks = np.array(
+            [0 if block_id is None else block_id for block_id in ids], dtype=np.int64
+        )
+        self.block_leaf = {
+            block_id: position for position, block_id in enumerate(ids) if block_id is not None
+        }
+
+    def add_attribute_row(self) -> None:
+        """Append an unconstrained box-table row for a newly split attribute."""
+        leaves = len(self.leaf_nodes)
+        self.box_lo = np.vstack([self.box_lo, np.full((1, leaves), -math.inf)])
+        self.box_hi = np.vstack([self.box_hi, np.full((1, leaves), math.inf)])
+        self.box_splits = np.vstack([self.box_splits, np.zeros((1, leaves), np.int32)])
+        self.box_point = np.vstack([self.box_point, np.full((1, leaves), math.nan)])
+
+    def fill_boxes(self, start: int) -> None:
+        """(Re-)derive the box-table columns of every leaf under node ``start``."""
+        stack = [(start, self._box_at(start))]
+        while stack:
+            node, box = stack.pop()
+            attr = int(self.node_attr[node])
+            if attr < 0:
+                column = int(self.leaf_pos[node])
+                lo, hi, splits, point = box
+                self.box_lo[:, column] = lo
+                self.box_hi[:, column] = hi
+                self.box_splits[:, column] = splits
+                self.box_point[:, column] = point
+                continue
+            cutpoint = float(self.cutpoints[node])
+            stack.append((int(self.right[node]), _narrow(box, attr, cutpoint, False)))
+            stack.append((int(self.left[node]), _narrow(box, attr, cutpoint, True)))
+
+    def _box_at(self, node: int) -> "_Box":
+        """The box of ``node`` itself: its ancestors' splits replayed from the root."""
+        path: list[tuple[int, bool]] = []
+        child, above = node, int(self.parent[node])
+        while above >= 0:
+            path.append((above, bool(self.left[above] == child)))
+            child, above = above, int(self.parent[above])
+        count = len(self.attributes)
+        box: _Box = ([-math.inf] * count, [math.inf] * count, [0] * count, [math.nan] * count)
+        for above, went_left in reversed(path):
+            box = _narrow(box, int(self.node_attr[above]), float(self.cutpoints[above]), went_left)
+        return box
+
+    def admitted(
+        self, predicates: list[Predicate] | None, leaves: slice
+    ) -> np.ndarray | None:
+        """Which of ``leaves`` may hold rows matching every predicate.
+
+        A predicate is tested only on leaves whose path splits on its
+        column.  ``None`` means no predicate constrains a split attribute,
+        so every leaf is admitted.
+        """
+        admitted: np.ndarray | None = None
+        for predicate in predicates or ():
+            attr = self.attribute_index.get(predicate.column)
+            if attr is None:
+                continue
+            if predicate.op is Operator.NE:
+                passes = self.box_point[attr, leaves] != predicate.value
+            else:
+                passes = predicate.may_match_ranges(
+                    self.box_lo[attr, leaves], self.box_hi[attr, leaves]
+                )
+            passes |= self.box_splits[attr, leaves] == 0
+            admitted = passes if admitted is None else admitted & passes
+        return admitted
+
+
+#: One node's path box: per-attribute (lo, hi, split count, point value).
+_Box = tuple[list[float], list[float], list[int], list[float]]
+
+
+def _narrow(box: _Box, attr: int, cutpoint: float, left: bool) -> _Box:
+    """The box of one child of a node splitting on ``attr`` at ``cutpoint``."""
+    lo, hi, splits, point = (list(part) for part in box)
+    if left:
+        if cutpoint < hi[attr]:
+            hi[attr] = cutpoint
+    elif cutpoint > lo[attr]:
+        lo[attr] = cutpoint
+    splits[attr] += 1
+    if lo[attr] == hi[attr]:
+        point[attr] = lo[attr]
+    return lo, hi, splits, point
 
 
 @dataclass
@@ -152,6 +275,7 @@ class PartitioningTree:
         leaf_pos = np.full(count, -1, dtype=np.int32)
         parent = np.full(count, -1, dtype=np.int32)
         leaf_nodes: list[TreeNode] = []
+        bottom: list[int] = []
 
         for index, node in enumerate(nodes):
             if node.is_leaf:
@@ -159,6 +283,7 @@ class PartitioningTree:
                 leaf_nodes.append(node)
                 continue
             assert node.attribute is not None and node.cutpoint is not None
+            assert node.left is not None and node.right is not None
             attr_index = attribute_index.get(node.attribute)
             if attr_index is None:
                 attr_index = len(attributes)
@@ -170,8 +295,12 @@ class PartitioningTree:
             right[index] = index_of[id(node.right)]
             parent[left[index]] = index
             parent[right[index]] = index
+            if node.left.is_leaf and node.right.is_leaf:
+                bottom.append(index)
 
-        return CompiledTree(
+        shape = (len(attributes), len(leaf_nodes))
+        bottom_array = np.array(bottom, dtype=np.int64)
+        compiled = CompiledTree(
             attributes=attributes,
             attribute_index=attribute_index,
             node_attr=node_attr,
@@ -182,7 +311,17 @@ class PartitioningTree:
             leaf_nodes=leaf_nodes,
             node_index=index_of,
             parent=parent,
+            box_lo=np.full(shape, -math.inf),
+            box_hi=np.full(shape, math.inf),
+            box_splits=np.zeros(shape, dtype=np.int32),
+            box_point=np.full(shape, math.nan),
+            bottom=bottom_array,
+            bottom_nodes=[nodes[index] for index in bottom],
+            bottom_leaf=leaf_pos[left[bottom_array]].astype(np.int64),
         )
+        compiled.bind_leaves()
+        compiled.fill_boxes(0)
+        return compiled
 
     # ------------------------------------------------------------------ #
     # Leaves
@@ -199,11 +338,7 @@ class PartitioningTree:
     def block_ids(self) -> list[int]:
         """Block ids of all leaves that have been bound to blocks."""
         compiled = self.compiled()
-        if compiled.all_block_ids is None:
-            compiled.all_block_ids = [
-                leaf.block_id for leaf in compiled.leaf_nodes if leaf.block_id is not None
-            ]
-        return list(compiled.all_block_ids)
+        return compiled.leaf_blocks[compiled.leaf_bound].tolist()
 
     @mutates_partition_state
     def assign_block_ids(self, block_ids: list[int]) -> None:
@@ -221,8 +356,7 @@ class PartitioningTree:
             )
         for leaf, block_id in zip(leaves, block_ids):
             leaf.block_id = block_id
-        compiled.all_block_ids = None
-        compiled.block_leaf_node = None
+        compiled.bind_leaves()
 
     # ------------------------------------------------------------------ #
     # Structure inspection / mutation
@@ -267,18 +401,20 @@ class PartitioningTree:
         """Change an internal node's split attribute/cutpoint (Amoeba transform).
 
         This is the supported structural-mutation entry point.  A re-split
-        keeps the node's position, children, leaf order and path bounds, so
-        the compiled form is patched in place (and the bottom-node cache
-        stays valid) instead of being rebuilt from scratch every transform.
+        keeps the node's position, children and leaf order, so the compiled
+        form is patched in place instead of being rebuilt: the node arrays
+        at one index, and the box table for the leaves under the node only
+        (two columns for a bottom-level node).  Only a re-split above the
+        bottom level changes bottom nodes' path bounds, so only that drops
+        the bottom-node caches.
         """
         if node.is_leaf:
             raise PartitioningError("cannot re-split a leaf node")
         node.attribute = attribute
         node.cutpoint = cutpoint
         assert node.left is not None and node.right is not None
-        if not (node.left.is_leaf and node.right.is_leaf):
-            # Re-splitting above the bottom level changes descendants' path
-            # bounds; the bottom-node cache must be rebuilt.
+        bottom_level = node.left.is_leaf and node.right.is_leaf
+        if not bottom_level:
             self._bottom_nodes = None
         compiled = self._compiled
         if compiled is None:
@@ -292,37 +428,48 @@ class PartitioningTree:
             attr_index = len(compiled.attributes)
             compiled.attributes.append(attribute)
             compiled.attribute_index[attribute] = attr_index
+            compiled.add_attribute_row()
         compiled.node_attr[index] = attr_index
         compiled.cutpoints[index] = cutpoint
+        compiled.fill_boxes(index)
+        if not bottom_level:
+            compiled.bottom_memo.clear()
 
     def bottom_internal_nodes(self) -> list[tuple[TreeNode, dict[str, tuple[float, float]]]]:
         """Internal nodes whose two children are both leaves, with path bounds.
 
-        The result is cached alongside the compiled form (Amoeba enumerates
-        these every query); treat the bounds dicts as read-only.
+        The bounds of a node cover the attributes its ancestors split on,
+        read from the box table.  The result is cached alongside the
+        compiled form; treat the bounds dicts as read-only.
         """
         if self._bottom_nodes is None:
+            compiled = self.compiled()
             result: list[tuple[TreeNode, dict[str, tuple[float, float]]]] = []
-
-            def descend(node: TreeNode, bounds: dict[str, tuple[float, float]]) -> None:
-                if node.is_leaf:
-                    return
-                assert node.left is not None and node.right is not None
-                if node.left.is_leaf and node.right.is_leaf:
-                    result.append((node, dict(bounds)))
-                    return
-                assert node.attribute is not None and node.cutpoint is not None
-                lo, hi = bounds.get(node.attribute, (-math.inf, math.inf))
-                left_bounds = dict(bounds)
-                left_bounds[node.attribute] = (lo, min(hi, node.cutpoint))
-                right_bounds = dict(bounds)
-                right_bounds[node.attribute] = (max(lo, node.cutpoint), hi)
-                descend(node.left, left_bounds)
-                descend(node.right, right_bounds)
-
-            descend(self.root, {})
+            for node, index, leaf in zip(
+                compiled.bottom_nodes, compiled.bottom.tolist(), compiled.bottom_leaf.tolist()
+            ):
+                splits_above = compiled.box_splits[:, leaf].copy()
+                splits_above[compiled.node_attr[index]] -= 1
+                bounds = {
+                    compiled.attributes[attr]: (
+                        float(compiled.box_lo[attr, leaf]),
+                        float(compiled.box_hi[attr, leaf + 1]),
+                    )
+                    for attr in np.flatnonzero(splits_above).tolist()
+                }
+                result.append((node, bounds))
             self._bottom_nodes = result
         return self._bottom_nodes
+
+    def bottom_node_arrays(self) -> CompiledTree:
+        """The compiled form, for array consumers of the bottom internal nodes.
+
+        Its ``bottom``/``bottom_nodes``/``bottom_leaf`` list those nodes in
+        :meth:`bottom_internal_nodes` order, ``node_attr``/``cutpoints``
+        hold their current splits, and ``bottom_memo`` caches values derived
+        from their path bounds.  Treat it as read-only.
+        """
+        return self.compiled()
 
     # ------------------------------------------------------------------ #
     # Routing
@@ -389,147 +536,45 @@ class PartitioningTree:
         """Return the block ids of leaves that may contain matching rows.
 
         This is the ``lookup(T, q)`` function from the paper's cost model.
-        Leaves that are not bound to a block id are skipped.  The walk is
-        iterative over the compiled arrays: one ``(lo, hi)`` interval per
-        attribute is narrowed before descending and restored afterwards, and
-        only the predicates on the node's own split attribute are re-checked
-        (the rest were already satisfied on the path down).
+        A leaf is kept when every predicate on an attribute its path splits
+        may match the leaf's box; each predicate is one vectorized test over
+        its attribute's box-table row.  Leaves that are not bound to a block
+        id are skipped; the rest come back in leaf order.
         """
         compiled = self.compiled()
-        leaf_nodes = compiled.leaf_nodes
-
-        predicates_by_attr: dict[int, list[Predicate]] = {}
-        for predicate in predicates or ():
-            attr_index = compiled.attribute_index.get(predicate.column)
-            if attr_index is not None:
-                predicates_by_attr.setdefault(attr_index, []).append(predicate)
-        if not predicates_by_attr:
-            if compiled.all_block_ids is None:
-                compiled.all_block_ids = [
-                    leaf.block_id for leaf in leaf_nodes if leaf.block_id is not None
-                ]
-            return list(compiled.all_block_ids)
-
-        node_attr, cutpoints = compiled.node_attr, compiled.cutpoints
-        left, right, leaf_pos = compiled.left, compiled.right, compiled.leaf_pos
-        lo = [-math.inf] * len(compiled.attributes)
-        hi = [math.inf] * len(compiled.attributes)
-        matched: list[int] = []
-
-        # Stack entries: (node, attr, lo_value, hi_value).  node >= 0 visits
-        # that node after installing bounds[attr] = (lo_value, hi_value)
-        # (attr < 0: nothing to install); node < 0 restores bounds[attr].
-        stack: list[tuple[int, int, float, float]] = [(0, -1, 0.0, 0.0)]
-        while stack:
-            node, attr, lo_value, hi_value = stack.pop()
-            if node < 0:
-                lo[attr], hi[attr] = lo_value, hi_value
-                continue
-            if attr >= 0:
-                lo[attr], hi[attr] = lo_value, hi_value
-            split_attr = node_attr[node]
-            if split_attr < 0:
-                leaf = leaf_nodes[leaf_pos[node]]
-                if leaf.block_id is not None:
-                    matched.append(leaf.block_id)
-                continue
-            cutpoint = cutpoints[node]
-            current_lo, current_hi = lo[split_attr], hi[split_attr]
-            left_hi = cutpoint if cutpoint < current_hi else current_hi
-            right_lo = cutpoint if cutpoint > current_lo else current_lo
-            attr_predicates = predicates_by_attr.get(split_attr)
-            if attr_predicates is None:
-                visit_left = visit_right = True
-            else:
-                visit_left = all(
-                    p.may_match_range(current_lo, left_hi) for p in attr_predicates
-                )
-                visit_right = all(
-                    p.may_match_range(right_lo, current_hi) for p in attr_predicates
-                )
-            stack.append((-1, split_attr, current_lo, current_hi))
-            if visit_right:
-                stack.append((right[node], split_attr, right_lo, current_hi))
-            if visit_left:
-                stack.append((left[node], split_attr, current_lo, left_hi))
-
-        return matched
+        admitted = compiled.admitted(predicates, slice(None))
+        keep = compiled.leaf_bound if admitted is None else admitted & compiled.leaf_bound
+        return compiled.leaf_blocks[keep].tolist()
 
     def lookup_block(self, block_id: int, predicates: list[Predicate] | None = None) -> bool:
-        """Whether :meth:`lookup` would include ``block_id`` — in O(depth).
+        """Whether :meth:`lookup` would include ``block_id``.
 
-        Walks the compiled parent chain from the block's leaf to the root,
-        intersecting the per-attribute path interval, and tests the
-        predicates against that final interval.  ``may_match_range`` is
-        monotone under interval widening for every operator, so passing the
-        final (narrowest) interval implies passing every intermediate one —
-        this reproduces :meth:`lookup` membership exactly without walking
-        the whole tree.  Unknown block ids return ``False``.
+        Runs :meth:`lookup`'s box test on the block's leaf alone, so the two
+        agree by construction.  Unknown block ids return ``False``.
         """
         compiled = self.compiled()
-        if compiled.block_leaf_node is None:
-            leaf_pos = compiled.leaf_pos
-            leaf_nodes = compiled.leaf_nodes
-            compiled.block_leaf_node = {
-                bound: int(node)
-                for node in np.flatnonzero(leaf_pos >= 0)
-                if (bound := leaf_nodes[leaf_pos[node]].block_id) is not None
-            }
-        node = compiled.block_leaf_node.get(block_id)
-        if node is None:
+        leaf = compiled.block_leaf.get(block_id)
+        if leaf is None:
             return False
-
-        # attribute index -> [lo, hi]; min/max make the walk order-free.
-        intervals: dict[int, list[float]] = {}
-        parent, left = compiled.parent, compiled.left
-        node_attr, cutpoints = compiled.node_attr, compiled.cutpoints
-        child = node
-        above = int(parent[child])
-        while above >= 0:
-            box = intervals.setdefault(int(node_attr[above]), [-math.inf, math.inf])
-            cutpoint = float(cutpoints[above])
-            if left[above] == child:
-                if cutpoint < box[1]:
-                    box[1] = cutpoint
-            elif cutpoint > box[0]:
-                box[0] = cutpoint
-            child = above
-            above = int(parent[above])
-
-        for predicate in predicates or ():
-            attr_index = compiled.attribute_index.get(predicate.column)
-            if attr_index is None:
-                continue  # lookup() ignores predicates on unsplit columns
-            box = intervals.get(attr_index)
-            lo, hi = (box[0], box[1]) if box is not None else (-math.inf, math.inf)
-            if not predicate.may_match_range(lo, hi):
-                return False
-        return True
+        admitted = compiled.admitted(predicates, slice(leaf, leaf + 1))
+        return admitted is None or bool(admitted[0])
 
     def leaf_bounds(self, attribute: str) -> dict[int, tuple[float, float]]:
         """Per-leaf value bounds of ``attribute`` implied by the tree structure.
 
-        Returns a mapping ``block_id -> (lo, hi)`` for bound leaves.  Leaves
-        under subtrees that never split on ``attribute`` get infinite bounds.
+        Returns a mapping ``block_id -> (lo, hi)`` for bound leaves, read
+        from the box table.  Leaves whose path never splits on
+        ``attribute`` get infinite bounds.
         """
-        result: dict[int, tuple[float, float]] = {}
-
-        def descend(node: TreeNode, lo: float, hi: float) -> None:
-            if node.is_leaf:
-                if node.block_id is not None:
-                    result[node.block_id] = (lo, hi)
-                return
-            assert node.left is not None and node.right is not None
-            if node.attribute == attribute:
-                assert node.cutpoint is not None
-                descend(node.left, lo, min(hi, node.cutpoint))
-                descend(node.right, max(lo, node.cutpoint), hi)
-            else:
-                descend(node.left, lo, hi)
-                descend(node.right, lo, hi)
-
-        descend(self.root, -math.inf, math.inf)
-        return result
+        compiled = self.compiled()
+        leaves = np.flatnonzero(compiled.leaf_bound)
+        block_ids = compiled.leaf_blocks[leaves].tolist()
+        attr = compiled.attribute_index.get(attribute)
+        if attr is None:
+            return {block_id: (-math.inf, math.inf) for block_id in block_ids}
+        lows = compiled.box_lo[attr, leaves].tolist()
+        highs = compiled.box_hi[attr, leaves].tolist()
+        return dict(zip(block_ids, zip(lows, highs)))
 
     def describe(self) -> str:
         """Multi-line textual rendering of the tree (for debugging/docs)."""

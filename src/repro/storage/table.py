@@ -448,11 +448,11 @@ class StoredTable:
     def lookup_contains(
         self, block_id: int, predicates: list[Predicate] | None = None
     ) -> bool:
-        """Whether :meth:`lookup` would include ``block_id`` — in O(depth).
+        """Whether :meth:`lookup` would include ``block_id``.
 
         Per-block membership in the pruned set depends only on the block's
-        own row count and its leaf's path bounds in the owning tree, so one
-        parent-chain walk answers it without re-running the full lookup.
+        own row count and its leaf's box in the owning tree, so the tree's
+        one-leaf box test answers it without re-running the full lookup.
         Blocks no longer in the table (e.g. dropped by a repartition) return
         ``False``.
         """

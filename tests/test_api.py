@@ -27,6 +27,7 @@ from repro.common.query import Query, join_query, scan_query
 from repro.core import AdaptDB, AdaptDBConfig
 from repro.experiments.harness import runtime_seconds
 from repro.partitioning.two_phase import TwoPhasePartitioner
+from repro.storage.table import StoredTable
 from repro.workloads.tpch_queries import tpch_query
 
 
@@ -315,6 +316,33 @@ class TestBackends:
         assert serial_result.output_rows == tasks_result.output_rows
         assert serial_result.join_methods == tasks_result.join_methods
         assert serial_result.cost_units == pytest.approx(tasks_result.cost_units)
+
+
+class TestPlanLookups:
+    def test_cold_plan_looks_up_each_table_once(self, small_config, tpch_tables, monkeypatch):
+        """One ``StoredTable.lookup`` per table, shared by every decision and the cache entry."""
+        session = Session(config=small_config)
+        for name in ("lineitem", "orders", "customer"):
+            session.load_table(tpch_tables[name])
+        query = tpch_query("q3", session.rng)
+        calls = []
+        original = StoredTable.lookup
+
+        def counting_lookup(table, *args, **kwargs):
+            calls.append(table.name)
+            return original(table, *args, **kwargs)
+
+        monkeypatch.setattr(StoredTable, "lookup", counting_lookup)
+        logical = session.plan(query, adapt=False)
+        assert sorted(calls) == sorted(set(query.tables))
+        assert len(logical.join_decisions) == 2  # orders takes part in both
+        recorded = logical.cache_entry.relevant_blocks
+        for decision in logical.join_decisions:
+            assert decision.build_blocks == recorded[decision.build_table]
+            assert decision.probe_blocks == recorded[decision.probe_table]
+        for name in query.tables:
+            predicates = query.predicates_on(name)
+            assert recorded[name] == original(session.catalog.get(name), predicates)
 
 
 class TestReadStatScoping:

@@ -19,13 +19,14 @@ Covers the change-descriptor plumbing end to end:
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 from repro.api import Session
 from repro.common.epochs import PartitionDelta
-from repro.common.predicates import between
+from repro.common.predicates import between, gt, isin, lt
 from repro.common.query import join_query
 from repro.common.rng import make_rng
 from repro.core import AdaptDBConfig
@@ -282,23 +283,31 @@ class TestLookupContains:
     def test_matches_full_lookup_across_perturbations(self, tpch_tables):
         """``lookup_contains`` must agree with full ``lookup`` membership.
 
-        Audited over shifting predicate windows and interleaved re-splits
-        (which change leaf path bounds) — the probe walks the parent chain
-        instead of the whole tree, so any disagreement means the final-
-        interval shortcut is unsound.
+        Audited over shifting predicate windows, unsatisfiable predicates and
+        interleaved re-splits (which change leaf path bounds) — the probe
+        tests one leaf's box instead of looking up the whole tree, so any
+        disagreement means the two apply different rules.
         """
         session = make_session(tpch_tables)
         table = session.catalog.get("lineitem")
         rng = make_rng(19)
         for round_index in range(6):
             low = 1.0 + 7.0 * (round_index % 5)
-            predicates = [between("l_quantity", low, low + 11.0)]
-            matched = set(table.lookup(predicates))
-            for block_id in table.block_ids():
-                assert table.lookup_contains(block_id, predicates) == (
-                    block_id in matched
-                ), f"block {block_id} disagreed for window ({low}, {low + 11.0})"
-            assert not table.lookup_contains(10_000_000, predicates)  # unknown id
+            # Besides the shifting window: predicates no value can satisfy,
+            # which prune exactly the leaves whose path splits their column.
+            for predicates in (
+                [between("l_quantity", low, low + 11.0)],
+                [isin("l_quantity", ())],
+                [lt("l_quantity", -math.inf)],
+                [gt("l_quantity", math.inf)],
+                [isin("l_orderkey", ()), between("l_quantity", low, low + 11.0)],
+            ):
+                matched = set(table.lookup(predicates))
+                for block_id in table.block_ids():
+                    assert table.lookup_contains(block_id, predicates) == (
+                        block_id in matched
+                    ), f"block {block_id} disagreed for {[str(p) for p in predicates]}"
+                assert not table.lookup_contains(10_000_000, predicates)  # unknown id
             resplit_somewhere(table, fraction=float(rng.uniform(0.2, 0.8)))
 
     def test_no_predicates_means_every_non_empty_block(self, tpch_tables):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from repro.join.kernels import KeyHistogram, join_match_count, join_match_count_
 from repro.join.overlap import compute_overlap_matrix, probe_blocks_needed, ranges_overlap
 from repro.partitioning.builders import build_median_tree, median_cutpoint
 from repro.partitioning.tree import PartitioningTree
+from repro.testing import predicate_strategy
 
 # --------------------------------------------------------------------------- #
 # Strategies
@@ -177,6 +180,27 @@ class TestJoinKernelProperties:
 # --------------------------------------------------------------------------- #
 # Partitioning tree properties
 # --------------------------------------------------------------------------- #
+
+
+interval_bounds = st.one_of(
+    st.integers(min_value=-2, max_value=2).map(float),
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+
+
+class TestPredicateRangeProperties:
+    @given(
+        predicate_strategy(("a",)),
+        st.lists(st.tuples(interval_bounds, interval_bounds), max_size=12),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_may_match_ranges_is_may_match_range_per_element(self, predicate, intervals):
+        """The vector twin agrees with the scalar test on every interval, inverted ones too."""
+        lo = np.array([low for low, _ in intervals], dtype=np.float64)
+        hi = np.array([high for _, high in intervals], dtype=np.float64)
+        expected = [predicate.may_match_range(low, high) for low, high in intervals]
+        assert predicate.may_match_ranges(lo, hi).tolist() == expected
 
 
 class TestTreeProperties:

@@ -2,12 +2,22 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import PartitioningError
-from repro.common.predicates import between, eq, gt, le
+from repro.common.predicates import Operator, Predicate, between, eq, gt, isin, le, lt
 from repro.partitioning.tree import PartitioningTree, TreeNode
+from repro.testing import (
+    predicate_strategy,
+    reference_bottom_nodes,
+    reference_leaf_bounds,
+    reference_lookup,
+)
 
 
 def two_level_tree() -> PartitioningTree:
@@ -174,6 +184,14 @@ class TestCompiledForm:
         assert left_node.attribute == "b" and left_bounds == {"a": (-np.inf, 50.0)}
         assert right_node.attribute == "b" and right_bounds == {"a": (50.0, np.inf)}
 
+    def test_bottom_memo_survives_only_bottom_level_resplits(self):
+        tree = two_level_tree()
+        tree.bottom_node_arrays().bottom_memo["cutpoints"] = np.zeros(2)
+        tree.resplit_node(tree.root.left, "c", 7.0)  # children are leaves
+        assert "cutpoints" in tree.bottom_node_arrays().bottom_memo
+        tree.resplit_node(tree.root, "b", 15.0)  # moves the bottom nodes' bounds
+        assert not tree.bottom_node_arrays().bottom_memo
+
     def test_lookup_matches_route_after_resplit(self, rng):
         tree = two_level_tree()
         tree.resplit_node(tree.root.right, "a", 75.0)
@@ -201,3 +219,136 @@ class TestLeafBounds:
     def test_bounds_on_absent_attribute_are_infinite(self):
         bounds = two_level_tree().leaf_bounds("missing")
         assert all(lo == -np.inf and hi == np.inf for lo, hi in bounds.values())
+
+
+class TestLookupBlockAgreesWithLookup:
+    def test_unsatisfiable_predicates_on_unsplit_paths(self):
+        """A predicate no value satisfies prunes only leaves whose path splits its column."""
+        tree = PartitioningTree(
+            root=TreeNode(
+                attribute="a",
+                cutpoint=5.0,
+                left=TreeNode(attribute="b", cutpoint=3.0, left=TreeNode(), right=TreeNode()),
+                right=TreeNode(attribute="a", cutpoint=8.0, left=TreeNode(), right=TreeNode()),
+            )
+        )
+        tree.assign_block_ids([0, 1, 2, 3])
+        for predicate in (isin("b", ()), lt("b", -math.inf), gt("b", math.inf)):
+            assert tree.lookup([predicate]) == [2, 3]
+            assert [tree.lookup_block(block, [predicate]) for block in range(4)] == [
+                False, False, True, True,
+            ]
+
+    def test_not_equal_prunes_below_a_point_interval(self):
+        """``a != 0`` prunes every leaf whose path interval was once exactly [0, 0].
+
+        Leaf 2's final interval (1, 0] no longer pins ``a`` to 0, but the
+        split that made it [0, 0] already excluded it.
+        """
+        tree = PartitioningTree(
+            root=TreeNode(
+                attribute="a",
+                cutpoint=0.0,
+                left=TreeNode(),
+                right=TreeNode(
+                    attribute="a",
+                    cutpoint=0.0,
+                    left=TreeNode(attribute="a", cutpoint=1.0, left=TreeNode(), right=TreeNode()),
+                    right=TreeNode(),
+                ),
+            )
+        )
+        tree.assign_block_ids([0, 1, 2, 3])
+        predicate = Predicate("a", Operator.NE, 0.0)
+        assert tree.lookup([predicate]) == [0, 3] == reference_lookup(tree, [predicate])
+        assert [tree.lookup_block(block, [predicate]) for block in range(4)] == [
+            True, False, False, True,
+        ]
+
+
+# --------------------------------------------------------------------------- #
+# The box table against the reference walks, on random trees
+# --------------------------------------------------------------------------- #
+ATTRIBUTES = ("a", "b", "c")
+special_values = st.sampled_from([math.nan, math.inf, -math.inf])
+#: Small integers repeat (the same cutpoint twice on a path, intervals
+#: pinned to [v, v]) and collide with the predicates' small values.
+cutpoints = st.one_of(st.integers(min_value=-2, max_value=2).map(float), special_values, st.floats())
+small_cutpoints = st.integers(min_value=-2, max_value=2).map(float)
+
+
+@st.composite
+def random_trees(draw, attributes=ATTRIBUTES, cutpoint_values=cutpoints, max_depth=4):
+    def build(depth):
+        if depth == 0 or draw(st.integers(min_value=0, max_value=3)) == 0:
+            return TreeNode()
+        return TreeNode(
+            attribute=draw(st.sampled_from(attributes)),
+            cutpoint=draw(cutpoint_values),
+            left=build(depth - 1),
+            right=build(depth - 1),
+        )
+
+    tree = PartitioningTree(root=build(max_depth))
+    bound = draw(st.lists(st.booleans(), min_size=tree.num_leaves, max_size=tree.num_leaves))
+    tree.assign_block_ids([100 + leaf if keep else None for leaf, keep in enumerate(bound)])
+    return tree
+
+
+def internal_nodes(tree):
+    found, stack = [], [tree.root]
+    while stack:
+        node = stack.pop()
+        if not node.is_leaf:
+            found.append(node)
+            stack += [node.left, node.right]
+    return found
+
+
+def assert_matches_reference(tree, predicate_list):
+    expected = reference_lookup(tree, predicate_list)
+    assert tree.lookup(predicate_list) == expected
+    for leaf in tree.leaves():
+        if leaf.block_id is not None:
+            assert tree.lookup_block(leaf.block_id, predicate_list) == (leaf.block_id in expected)
+    assert not tree.lookup_block(-1, predicate_list)
+    for attribute in ATTRIBUTES + ("unsplit",):
+        assert tree.leaf_bounds(attribute) == reference_leaf_bounds(tree, attribute)
+    fresh = reference_bottom_nodes(tree)
+    assert [(id(node), bounds) for node, bounds in tree.bottom_internal_nodes()] == [
+        (id(node), bounds) for node, bounds in fresh
+    ]
+
+
+class TestBoxTableMatchesReference:
+    @given(
+        random_trees(),
+        st.lists(predicate_strategy(ATTRIBUTES + ("unsplit",)), max_size=3),
+        st.lists(
+            st.tuples(st.integers(min_value=0), st.sampled_from(ATTRIBUTES + ("d",)), cutpoints),
+            max_size=4,
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_lookup_block_and_bounds_match_the_walks(self, tree, predicate_list, resplits):
+        """Before and after bottom- and upper-level re-splits (new attributes included)."""
+        assert_matches_reference(tree, predicate_list)
+        for choice, attribute, cutpoint in resplits:
+            nodes = internal_nodes(tree)
+            if not nodes:
+                break
+            tree.resplit_node(nodes[choice % len(nodes)], attribute, cutpoint)
+            assert_matches_reference(tree, predicate_list)
+
+    @given(
+        random_trees(attributes=("a",), cutpoint_values=small_cutpoints, max_depth=5),
+        st.lists(
+            st.builds(Predicate, st.just("a"), st.just(Operator.NE), st.integers(-2, 2)),
+            min_size=1,
+            max_size=2,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_not_equal_on_repeated_splits_matches_the_walk(self, tree, predicate_list):
+        """``!=`` under paths that pin an attribute to one value, then narrow past it."""
+        assert_matches_reference(tree, predicate_list)
